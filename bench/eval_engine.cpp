@@ -107,11 +107,11 @@ int main() {
   }
   std::cout << b.str();
 
-  // SoA batch path vs the scalar per-configuration loop, on the raw
-  // evaluator (no cache in the way): the before/after line of the
-  // vectorized batch characterizer. Identity gates at zero tolerance in
+  // The SoA batch characterizer at batch size 1 (a loop over evaluate())
+  // vs batch size 16 (evaluate_batch's chunk), on the raw evaluator (no
+  // cache in the way). Identity gates at zero tolerance in
   // bench/baseline.json; the speedup itself is informational (wall clock).
-  std::cout << util::format("\n--- SoA batch evaluator vs scalar loop (simd %s) ---\n",
+  std::cout << util::format("\n--- evaluator: batches of 16 vs batches of 1 (simd %s) ---\n",
                             perf::simd_enabled() ? "on" : "off");
   const std::size_t n_soa = std::max<std::size_t>(256, 8 * s.population);
   std::vector<core::configuration> soa_configs;
@@ -124,15 +124,15 @@ int main() {
   for (const core::configuration& c : soa_configs) soa_ptrs.push_back(&c);
 
   (void)eval.evaluate(soa_configs.front());  // warm up lazy init outside timers
-  double scalar_s = 1e300;
-  std::vector<core::evaluation> scalar_out;
+  double single_s = 1e300;
+  std::vector<core::evaluation> single_out;
   for (int rep = 0; rep < 3; ++rep) {  // best-of-3: shrug off scheduler noise
     t0 = std::chrono::steady_clock::now();
     std::vector<core::evaluation> run;
     run.reserve(n_soa);
     for (const core::configuration& c : soa_configs) run.push_back(eval.evaluate(c));
-    scalar_s = std::min(scalar_s, seconds_since(t0));
-    scalar_out = std::move(run);
+    single_s = std::min(single_s, seconds_since(t0));
+    single_out = std::move(run);
   }
 
   double soa_s = 1e300;
@@ -144,26 +144,26 @@ int main() {
     soa_out = std::move(run);
   }
 
-  bool soa_identical = soa_out.size() == scalar_out.size();
+  bool soa_identical = soa_out.size() == single_out.size();
   for (std::size_t i = 0; soa_identical && i < soa_out.size(); ++i) {
     std::ostringstream a, b2;
     core::write_evaluation(a, soa_out[i]);
-    core::write_evaluation(b2, scalar_out[i]);
+    core::write_evaluation(b2, single_out[i]);
     soa_identical = a.str() == b2.str();
   }
 
   util::table soa_t({"path", "wall (ms)", "configs/s", "identical"});
-  soa_t.add_row({"scalar loop", bench::fmt(1e3 * scalar_s),
-                 bench::fmt(static_cast<double>(n_soa) / scalar_s), "-"});
-  soa_t.add_row({"SoA batch", bench::fmt(1e3 * soa_s),
+  soa_t.add_row({"batch of 1", bench::fmt(1e3 * single_s),
+                 bench::fmt(static_cast<double>(n_soa) / single_s), "-"});
+  soa_t.add_row({"batch of 16", bench::fmt(1e3 * soa_s),
                  bench::fmt(static_cast<double>(n_soa) / soa_s),
                  soa_identical ? "yes" : "NO (bug!)"});
   std::cout << soa_t.str();
-  std::cout << util::format("\nSoA batch speedup: %.2fx over %zu configurations\n",
-                            scalar_s / soa_s, n_soa);
+  std::cout << util::format("\nbatch-of-16 speedup: %.2fx over %zu configurations\n",
+                            single_s / soa_s, n_soa);
 
   json.metric("soa_identical", soa_identical ? 1.0 : 0.0);
-  json.metric("soa_speedup", scalar_s / soa_s);
+  json.metric("soa_speedup", single_s / soa_s);
   json.metric("soa_configs_per_s", static_cast<double>(n_soa) / soa_s);
   return 0;
 }

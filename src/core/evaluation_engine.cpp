@@ -309,14 +309,8 @@ std::vector<std::span<const std::size_t>> evaluation_engine::owner_chunks(
   std::vector<std::span<const std::size_t>> chunks;
   const std::span<const std::size_t> owners{plan.owners};
   if (owners.empty()) return chunks;
-  if (!opt_.soa_batch) {
-    // Scalar dispatch: one task per owner, balanced by pool work-stealing.
-    chunks.reserve(owners.size());
-    for (std::size_t k = 0; k < owners.size(); ++k) chunks.push_back(owners.subspan(k, 1));
-    return chunks;
-  }
-  // Batched dispatch: as few chunks as keep every worker busy, so the SoA
-  // gather amortizes over the largest possible batches.
+  // As few chunks as keep every worker busy, so the SoA gather amortizes
+  // over the largest possible batches.
   const std::size_t n_chunks = pool_ ? std::min(owners.size(), pool_->size()) : 1;
   chunks.reserve(n_chunks);
   const std::size_t stride = owners.size() / n_chunks;
@@ -332,8 +326,8 @@ std::vector<std::span<const std::size_t>> evaluation_engine::owner_chunks(
 
 void evaluation_engine::run_owner_chunk(batch_plan& plan,
                                         std::span<const std::size_t> group_indices) {
-  if (!opt_.soa_batch || group_indices.size() == 1) {
-    for (const std::size_t gi : group_indices) run_owner(plan, gi);
+  if (group_indices.size() == 1) {
+    run_owner(plan, group_indices.front());
     return;
   }
   std::vector<const configuration*> reps;
@@ -347,9 +341,9 @@ void evaluation_engine::run_owner_chunk(batch_plan& plan,
     fresh = plan.state->eval->evaluate_batch(reps);
   } catch (...) {
     // All-or-nothing batch failure loses per-element attribution; re-run
-    // scalar so only the actually-failing candidates park exceptions (and
-    // the healthy ones still publish). The double evaluation only happens
-    // on this error path.
+    // per owner so only the actually-failing candidates park exceptions
+    // (and the healthy ones still publish). The double evaluation only
+    // happens on this error path.
     for (const std::size_t gi : group_indices) run_owner(plan, gi);
     return;
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/objective.h"
 #include "perf/batch_characterizer.h"
@@ -83,42 +84,22 @@ void evaluator::apply_dvfs_caps(perf::stage_plan& plan) const {
 }
 
 evaluation evaluator::evaluate(const configuration& config) const {
-  dynamic_network dyn = transform(*net_, groups_, ranking_, config, *plat_, opt_.reorder);
-  apply_dvfs_caps(dyn.plan);
-  const soc::platform& plat = sim_plat();
-
-  // --- hardware simulation (analytic or surrogate) ------------------------
-  const perf::execution_result exec =
-      opt_.predictor != nullptr
-          ? perf::simulate_costed(plat, dyn.plan,
-                                  predict_costs(dyn.plan, plat, *opt_.predictor))
-          : perf::simulate(plat, dyn.plan, opt_.model);
-  const perf::dynamic_profile profile =
-      opt_.count_idle_power ? perf::characterize_system(exec, dyn.plan, plat, scenario_ctx())
-                            : perf::characterize(exec);
-  return finish(config, dyn, exec, profile);
+  const configuration* one[] = {&config};
+  return std::move(evaluate_batch(one).front());
 }
 
 std::vector<evaluation> evaluator::evaluate_batch(
     std::span<const configuration* const> configs) const {
+  // Cost bounded chunks rather than the whole batch at once: keeping only a
+  // handful of dynamic_networks live keeps them cache-resident, while the
+  // flat tau/energy loop still amortizes over a chunk. The characterizer
+  // is per-call (arena scratch is mutable; the evaluator stays
+  // const/thread-safe) and its arena capacity persists across chunks.
+  constexpr std::size_t kChunk = 16;
+  const soc::platform& plat = sim_plat();
+  perf::batch_characterizer characterizer{plat, opt_.model, scenario_ctx()};
   std::vector<evaluation> out;
   out.reserve(configs.size());
-  if (opt_.predictor != nullptr) {
-    // Surrogate costs come from per-cell GBT queries; there is no batched
-    // form, so this path is the scalar pipeline verbatim.
-    for (const configuration* config : configs) out.push_back(evaluate(*config));
-    return out;
-  }
-
-  // SoA-characterize bounded chunks rather than the whole batch at once:
-  // keeping only a handful of dynamic_networks live preserves the cache
-  // locality the scalar loop gets from freeing each one immediately, while
-  // the flat tau/energy loop still amortizes over a chunk. Per-plan results
-  // are independent, so the chunk size cannot affect bit-identity. The
-  // characterizer is per-call (arena scratch is mutable; the evaluator
-  // stays const/thread-safe) and its arena capacity persists across chunks.
-  constexpr std::size_t kChunk = 16;
-  perf::batch_characterizer characterizer{sim_plat(), opt_.model, scenario_ctx()};
   std::vector<dynamic_network> dyns;
   std::vector<const perf::stage_plan*> plans;
   std::vector<perf::batch_profile> profiles;
@@ -133,7 +114,20 @@ std::vector<evaluation> evaluator::evaluate_batch(
     }
     for (const dynamic_network& dyn : dyns) plans.push_back(&dyn.plan);
     profiles.assign(n, {});
-    characterizer.run(plans, opt_.count_idle_power, profiles);
+    if (opt_.predictor == nullptr) {
+      characterizer.run(plans, opt_.count_idle_power, profiles);
+    } else {
+      // GBT costs come from per-cell queries with no batched form; they
+      // feed the same eq. 8 recurrence as the analytic costs.
+      for (std::size_t k = 0; k < n; ++k) {
+        const perf::stage_plan& plan = *plans[k];
+        perf::execution_result& exec = profiles[k].exec;
+        exec = perf::simulate_costed(plat, plan, predict_costs(plan, plat, *opt_.predictor));
+        profiles[k].profile = opt_.count_idle_power
+                                  ? perf::characterize_system(exec, plan, plat, scenario_ctx())
+                                  : perf::characterize(exec);
+      }
+    }
     for (std::size_t k = 0; k < n; ++k)
       out.push_back(finish(*configs[base + k], dyns[k], profiles[k].exec, profiles[k].profile));
   }

@@ -5,6 +5,7 @@
 // objective (eq. 16) + constraint verdict (eq. 15).
 
 #include <limits>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -16,8 +17,6 @@
 #include "nn/channel_ranking.h"
 #include "nn/graph.h"
 #include "nn/partition_groups.h"
-#include <optional>
-
 #include "perf/characterizer.h"
 #include "perf/concurrent_executor.h"
 #include "soc/contention.h"
@@ -90,20 +89,20 @@ class evaluator {
   evaluator(const nn::network& net, const soc::platform& plat, evaluator_options opt = {},
             std::uint64_t ranking_seed = 0xC0FFEE);
 
-  /// Runs the full pipeline on one configuration.
+  /// Runs the full pipeline on one configuration: a batch of one.
   [[nodiscard]] evaluation evaluate(const configuration& config) const;
 
-  /// Runs the full pipeline on a whole batch through the SoA fast path
-  /// (perf::batch_characterizer): all configurations are transformed, then
-  /// one arena-backed characterizer pass computes every plan's execution
-  /// result and profile before the per-candidate accuracy/objective/
-  /// constraint logic runs. Results are bit-identical to calling
-  /// `evaluate` element-wise (differential-tested); surrogate-backed
-  /// evaluators (`predictor != nullptr`) fall back to exactly that
-  /// element-wise loop, as the GBT path has no batched form.
+  /// Runs the full pipeline on a whole batch, in bounded chunks: each
+  /// chunk's configurations are transformed, their plans are costed and
+  /// run through the eq. 8 recurrence, and the per-candidate accuracy/
+  /// objective/constraint logic runs last. Analytic costs come from one
+  /// perf::batch_characterizer pass per chunk; surrogate-backed evaluators
+  /// (`predictor != nullptr`) query the GBT per cell and feed those costs
+  /// to the same recurrence (perf::simulate_costed). Each result is a pure
+  /// function of its configuration, so batch shape never changes a bit.
   ///
-  /// Throws whatever the first failing element's `evaluate` would throw;
-  /// on any throw no results are returned (all-or-nothing).
+  /// Throws on the first failing chunk; on any throw no results are
+  /// returned (all-or-nothing).
   [[nodiscard]] std::vector<evaluation> evaluate_batch(
       std::span<const configuration* const> configs) const;
 
@@ -117,8 +116,7 @@ class evaluator {
 
  private:
   /// Everything downstream of the hardware simulation: per-stage copies,
-  /// accuracy + exits, objective, constraint filter. Shared verbatim by the
-  /// scalar and batched paths so they cannot diverge.
+  /// accuracy + exits, objective, constraint filter.
   [[nodiscard]] evaluation finish(const configuration& config, const dynamic_network& dyn,
                                   const perf::execution_result& exec,
                                   const perf::dynamic_profile& profile) const;

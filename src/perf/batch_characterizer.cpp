@@ -1,6 +1,5 @@
 #include "perf/batch_characterizer.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace mapcq::perf {
@@ -62,14 +61,11 @@ void batch_characterizer::run(std::span<const stage_plan* const> plans, bool cou
   // plan-major, then stage-major, group-minor: cell(p, i, j) =
   // base_p + i * groups_p + j.
   std::size_t total = 0;
-  std::size_t max_cells = 0;
   for (const stage_plan* plan : plans) {
     plan->validate(plat_->size());
-    const std::size_t cells = plan->stages() * plan->groups();
-    total += cells;
-    max_cells = std::max(max_cells, cells);
+    total += plan->stages() * plan->groups();
   }
-  arena_.reset(8 * total + max_cells, total);
+  arena_.reset(8 * total, total);
 
   const std::span<double> flops = arena_.take(total);
   const std::span<double> rate_denom = arena_.take(total);  // gflops * 1e6
@@ -79,13 +75,10 @@ void batch_characterizer::run(std::span<const stage_plan* const> plans, bool cou
   const std::span<double> power = arena_.take(total);
   const std::span<double> tau = arena_.take(total);
   const std::span<double> energy = arena_.take(total);
-  const std::span<double> completion = arena_.take(max_cells);  // per-plan T^j_i
   const std::span<unsigned char> skip = arena_.take_flags(total);
 
-  // Pass 1 (gather): resolve every cell's roofline inputs. The operand
-  // order mirrors sublayer_latency_ms exactly — derate bandwidth first,
-  // then scale by 1e6 — so the precomputed denominators are bit-equal to
-  // the products the scalar path forms inline.
+  // Pass 1 (gather): resolve every cell's roofline inputs, forming the
+  // denominators from the same operands as sublayer_latency_ms.
   std::size_t base = 0;
   for (const stage_plan* pp : plans) {
     const stage_plan& plan = *pp;
@@ -95,15 +88,13 @@ void batch_characterizer::run(std::span<const stage_plan* const> plans, bool cou
     for (std::size_t i = 0; i < n_stages; ++i) {
       const soc::compute_unit& cu = plat_->unit(plan.cu_of_stage[i]);
       const std::size_t level = plan.dvfs_level[plan.cu_of_stage[i]];
-      double bw = cu.mem_bandwidth_gbps;
-      if (opt_.enable_contention && concurrency > 1)
-        bw /= 1.0 + opt_.bandwidth_contention * static_cast<double>(concurrency - 1);
-      const double stage_bw_denom = bw * 1e6;  // GB/s == 1e6 B/ms
+      const double stage_bw_denom =
+          derated_bandwidth_gbps(cu.mem_bandwidth_gbps, concurrency, opt_) * 1e6;
       for (std::size_t j = 0; j < n_groups; ++j) {
         const std::size_t c = base + i * n_groups + j;
         const sublayer_cost& cost = plan.steps[i][j].cost;
         if (cost.empty()) {
-          // The scalar model returns 0 before touching the CU; mask the
+          // sublayer_latency_ms returns 0 before touching the CU; mask the
           // lane and keep its division benign.
           skip[c] = 1;
           bw_denom[c] = 1.0;
@@ -123,62 +114,22 @@ void batch_characterizer::run(std::span<const stage_plan* const> plans, bool cou
   // Pass 2 (SIMD): the whole batch's tau/energy in one flat loop.
   MAPCQ_VEC_LOOP
   for (std::size_t c = 0; c < total; ++c) {
-    const double compute_ms = rate_denom[c] > 0.0 ? flops[c] / rate_denom[c] : 0.0;
-    const double memory_ms = moved[c] / bw_denom[c];
-    const double t = launch[c] + std::max(compute_ms, memory_ms);
+    const double t = roofline_ms(launch[c], flops[c], rate_denom[c], moved[c], bw_denom[c]);
     tau[c] = skip[c] ? 0.0 : t;
     energy[c] = skip[c] ? 0.0 : t * power[c];
   }
 
-  // Pass 3 (per plan): the eq. 8 recurrence over the flat tau column, then
-  // the profile. Iteration and accumulation order replicate run_recurrence
-  // — groups outermost, fmap/transfer totals accumulated per incoming edge
-  // in encounter order — so sums land bit-identically.
+  // Pass 3 (per plan): the eq. 8 recurrence over the plan's slice of the
+  // flat cost columns, then the profile.
   base = 0;
   for (std::size_t p = 0; p < plans.size(); ++p) {
     const stage_plan& plan = *plans[p];
-    const std::size_t n_stages = plan.stages();
-    const std::size_t n_groups = plan.groups();
-
-    execution_result& res = out[p].exec;
-    res = execution_result{};
-    res.stages.assign(n_stages, {});
-    res.timeline.assign(n_stages, std::vector<step_timing>(n_groups));
-    std::fill(completion.begin(),
-              completion.begin() + static_cast<std::ptrdiff_t>(n_stages * n_groups), 0.0);
-
-    for (std::size_t j = 0; j < n_groups; ++j) {
-      for (std::size_t i = 0; i < n_stages; ++i) {
-        const stage_step& step = plan.steps[i][j];
-        const double own_prev = j == 0 ? 0.0 : completion[i * n_groups + (j - 1)];
-        double ready = own_prev;
-        for (const auto& t : step.incoming) {
-          const double src_done = j == 0 ? 0.0 : completion[t.from_stage * n_groups + (j - 1)];
-          const double u = plat_->xfer.transfer_ms(t.bytes);
-          ready = std::max(ready, src_done + u);
-          res.fmap_traffic_bytes += t.bytes;
-          res.transfer_energy_mj += plat_->xfer.transfer_mj(t.bytes);
-        }
-        const std::size_t c = base + i * n_groups + j;
-        completion[i * n_groups + j] = ready + tau[c];
-
-        step_timing& tl = res.timeline[i][j];
-        tl.start_ms = ready;
-        tl.end_ms = completion[i * n_groups + j];
-        tl.busy_ms = tau[c];
-        tl.wait_ms = std::max(0.0, ready - own_prev);
-
-        res.stages[i].busy_ms += tau[c];
-        res.stages[i].wait_ms += tl.wait_ms;
-        res.stages[i].energy_mj += energy[c];
-      }
-    }
-    for (std::size_t i = 0; i < n_stages; ++i)
-      res.stages[i].latency_ms = n_groups == 0 ? 0.0 : completion[i * n_groups + (n_groups - 1)];
-
-    out[p].profile =
-        count_idle_power ? characterize_system(res, plan, *plat_, ctx_) : characterize(res);
-    base += n_stages * n_groups;
+    const std::size_t cells = plan.stages() * plan.groups();
+    out[p].exec = run_recurrence(*plat_, plan, tau.subspan(base, cells),
+                                 energy.subspan(base, cells));
+    out[p].profile = count_idle_power ? characterize_system(out[p].exec, plan, *plat_, ctx_)
+                                      : characterize(out[p].exec);
+    base += cells;
   }
 }
 

@@ -1,24 +1,25 @@
 #pragma once
-// Structure-of-arrays batch characterizer — the vectorized fast path of the
-// per-sublayer analytic hot loop (ROADMAP "hot-path speed", attack 3).
+// Structure-of-arrays batch characterizer: the analytic cost model of a
+// whole evaluation batch, and the only path `core::evaluator` scores
+// analytic candidates through.
 //
-// The scalar pipeline walks every (stage, group) cell of every plan through
+// Instead of walking every (stage, group) cell of every plan through
 // `sublayer_latency_ms` / `sublayer_energy_mj` one call at a time, chasing
-// pointers into `stage_plan`'s vector-of-vectors. This class lays the cells
-// of a whole evaluation batch out contiguously instead: one gather pass
-// resolves the per-cell scalars (flops, roofline denominators, launch
-// overhead, power), then a single flat loop computes every tau/energy pair
-// — written so the auto-vectorizer can keep the divisions and max() in SIMD
-// lanes (toggle: the MAPCQ_SIMD CMake option). The eq. 8 recurrence and the
-// idle-power characterization then run per plan over the flat tau array.
+// pointers into `stage_plan`'s vector-of-vectors, this class lays the cells
+// of a batch out contiguously: one gather pass resolves the per-cell
+// scalars (flops, roofline denominators, launch overhead, power), then a
+// single flat loop computes every tau/energy pair through `roofline_ms` —
+// written so the auto-vectorizer can keep the divisions and max() in SIMD
+// lanes (toggle: the MAPCQ_SIMD CMake option). Each plan's slice of the
+// flat cost columns then goes through `run_recurrence`, the same eq. 8
+// body `simulate()` runs, and is characterized.
 //
-// Bit-identity contract: the batch path performs the *same IEEE operations
-// in the same order* as `simulate()` + `characterize[_system]()` — roofline
-// denominators are formed from the same operands, the recurrence replicates
-// `run_recurrence`'s iteration and accumulation order, and nothing is
-// compiled under value-changing FP flags. `tests/test_batch_evaluator.cpp`
-// pins this differentially at %.17g across seeded networks × platforms ×
-// batch shapes; treat any divergence as a bug in this file.
+// Bit-identity contract: the result equals `simulate()` +
+// `characterize[_system]()` exactly. The roofline and the recurrence are
+// shared code; the gather forms the roofline denominators from the same
+// operands as `sublayer_latency_ms`, and nothing is compiled under
+// value-changing FP flags (see ARCHITECTURE.md). `tests/test_batch_evaluator.cpp`
+// pins this at %.17g across seeded networks × platforms × batch shapes.
 //
 // Ownership: the characterizer borrows the platform (must outlive it) and
 // owns its arena scratch, which is bump-allocated per `run()` call and
@@ -60,8 +61,8 @@ class batch_arena {
   std::size_t flags_used_ = 0;
 };
 
-/// Per-plan output of a batch run: exactly what the scalar pipeline hands
-/// `core::evaluator` (`simulate()` result plus its characterization).
+/// Per-plan output of a batch run: the `simulate()` result plus its
+/// characterization.
 struct batch_profile {
   execution_result exec;
   dynamic_profile profile;
@@ -71,19 +72,19 @@ struct batch_profile {
 class batch_characterizer {
  public:
   /// Borrows `plat` (and `ctx` when given; both must outlive the
-  /// characterizer); `opt` mirrors the scalar `model_options` knobs. Pass
-  /// the co-location context the evaluator scored under (usually the same
-  /// one that produced `plat` via `apply_contention`) so the idle-power
-  /// sweep excludes resident-reserved CUs exactly as the scalar
-  /// `characterize_system` does; null keeps the legacy path bit-identical.
+  /// characterizer); `opt` holds the analytic model knobs. Pass the
+  /// co-location context the evaluator scored under (usually the same one
+  /// that produced `plat` via `apply_contention`) so the idle-power sweep
+  /// excludes resident-reserved CUs, as `characterize_system` does; null
+  /// means no co-location.
   batch_characterizer(const soc::platform& plat, model_options opt,
                       const soc::contention_context* ctx = nullptr);
 
   /// Characterizes every plan of the batch. `out` must be sized like
   /// `plans`; `count_idle_power` selects `characterize_system` vs
-  /// `characterize`, exactly as `evaluator_options::count_idle_power`
-  /// does on the scalar path. Throws std::logic_error on an invalid plan
-  /// (same validation as `simulate`).
+  /// `characterize`, as `evaluator_options::count_idle_power` does.
+  /// Throws std::logic_error on an invalid plan (same validation as
+  /// `simulate`).
   void run(std::span<const stage_plan* const> plans, bool count_idle_power,
            std::span<batch_profile> out);
 

@@ -10,6 +10,7 @@
 // local vicinity (Fig. 3: stalls appear as wait time). Stage latency is
 // T^n_i (eq. 9), stage energy is the sum of eq. 11 terms (eq. 12).
 
+#include <span>
 #include <vector>
 
 #include "perf/latency_model.h"
@@ -67,6 +68,15 @@ struct step_costs {
 [[nodiscard]] execution_result simulate_costed(const soc::platform& plat,
                                                const stage_plan& plan,
                                                const step_costs& costs);
+
+/// The eq. 8 recurrence itself, over precomputed per-cell costs laid out
+/// stage-major: cell (i, j) is at `i * plan.groups() + j` of `tau_ms` and
+/// `energy_mj`. `simulate`, `simulate_costed` and `batch_characterizer`
+/// all run this one body. The plan must already be validated and the
+/// spans must hold `plan.stages() * plan.groups()` cells.
+[[nodiscard]] execution_result run_recurrence(const soc::platform& plat, const stage_plan& plan,
+                                              std::span<const double> tau_ms,
+                                              std::span<const double> energy_mj);
 
 /// Sequential reference executor (ablation): stages run one after another
 /// with no concurrency; same cost models, dependencies always satisfied.

@@ -1,23 +1,15 @@
 #include "perf/latency_model.h"
 
-#include <algorithm>
-
 namespace mapcq::perf {
 
 double sublayer_latency_ms(const sublayer_cost& cost, const soc::compute_unit& cu,
                            std::size_t level, std::size_t concurrent_stages,
                            const model_options& opt) {
   if (cost.empty()) return 0.0;
-
   const double gflops = cu.sustained_gflops(cost.kind, cost.width_frac, level);
-  const double compute_ms = gflops > 0.0 ? cost.flops / (gflops * 1e6) : 0.0;
-
-  double bw = cu.mem_bandwidth_gbps;
-  if (opt.enable_contention && concurrent_stages > 1)
-    bw /= 1.0 + opt.bandwidth_contention * static_cast<double>(concurrent_stages - 1);
-  const double memory_ms = cost.moved_bytes() / (bw * 1e6);  // GB/s == 1e6 B/ms
-
-  return cu.launch_overhead_ms + std::max(compute_ms, memory_ms);
+  const double bw = derated_bandwidth_gbps(cu.mem_bandwidth_gbps, concurrent_stages, opt);
+  return roofline_ms(cu.launch_overhead_ms, cost.flops, gflops * 1e6, cost.moved_bytes(),
+                     bw * 1e6);  // GB/s == 1e6 B/ms
 }
 
 }  // namespace mapcq::perf

@@ -193,7 +193,6 @@ value to_json(const core::engine_options& opt) {
   obj.push_member("capacity", opt.capacity);
   obj.push_member("threads", opt.threads);
   obj.push_member("memoize", opt.memoize);
-  obj.push_member("soa_batch", opt.soa_batch);
   obj.push_member("pin_threads", opt.pin_threads);
   obj.push_member("eviction", enum_to_string(opt.eviction, eviction_names));
   return obj;
@@ -205,7 +204,6 @@ void from_json(const value& v, core::engine_options& out, const std::string& pat
   r.get_uint("capacity", out.capacity);
   r.get_uint("threads", out.threads);
   r.get("memoize", out.memoize);
-  r.get("soa_batch", out.soa_batch);
   r.get("pin_threads", out.pin_threads);
   r.get_enum("eviction", out.eviction, eviction_names);
   r.finish();

@@ -1,14 +1,17 @@
 // Differential harness pinning the SoA batch evaluator and cross-request
-// batch fusion against the scalar/serial reference paths:
+// batch fusion:
 //   * perf::batch_characterizer == simulate()+characterize[_system]() cell
 //     by cell at exact double equality, across seeded random plans x
 //     platforms x batch shapes (including 0-plan, 1-plan, 0-group,
-//     all-empty and max-stage degenerate cases);
-//   * core::evaluator::evaluate_batch == evaluate() field-exact, across
-//     seeded networks x platforms x batch shapes;
-//   * the engine's chunked SoA dispatch is bit-identical to the scalar
-//     ablation (engine_options::soa_batch = false) with identical cache
-//     counters;
+//     all-empty and max-stage degenerate cases) -- simulate() computes
+//     each cell's cost through sublayer_latency_ms/sublayer_energy_mj and
+//     is the per-cell reference for the SoA gather;
+//   * core::evaluator::evaluate_batch at batch sizes 0/7/37 == evaluate()
+//     (a batch of one) field-exact, across seeded networks x platforms, so
+//     chunking never changes a bit;
+//   * the engine's chunked dispatch is bit-identical across dispatch
+//     shapes (one inline chunk vs one chunk per pool worker) with
+//     identical cache counters;
 //   * fused scheduler dispatch produces the same reports as serial dispatch
 //     (summaries compared with the scheduler note stripped) with exact
 //     fused / fused_batches counter accounting and full reconciliation;
@@ -365,7 +368,7 @@ TEST(batch_characterizer, contention_context_threads_through_the_soa_path) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine level: chunked SoA dispatch vs the scalar ablation.
+// Engine level: chunked dispatch across dispatch shapes.
 // ---------------------------------------------------------------------------
 
 struct engine_pair : ::testing::Test {
@@ -382,18 +385,18 @@ struct engine_pair : ::testing::Test {
   }
 };
 
-TEST_F(engine_pair, soa_dispatch_is_bit_identical_to_scalar_with_same_counters) {
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-    core::engine_options soa;
-    soa.threads = threads;
-    soa.soa_batch = true;
-    core::engine_options scalar = soa;
-    scalar.soa_batch = false;
+TEST_F(engine_pair, dispatch_shape_is_bit_identical_with_same_counters) {
+  // threads = 1 evaluates every owned miss in one inline chunk; threads = 3
+  // splits them into one chunk per pool worker.
+  core::engine_options inline_opt;
+  inline_opt.threads = 1;
+  core::engine_options pooled_opt;
+  pooled_opt.threads = 3;
+  for (const std::uint64_t seed : {24u, 26u}) {
+    core::evaluation_engine a{eval, inline_opt};
+    core::evaluation_engine b{eval, pooled_opt};
 
-    core::evaluation_engine a{eval, soa};
-    core::evaluation_engine b{eval, scalar};
-
-    std::vector<core::configuration> batch = random_configs(17, 23 + threads);
+    std::vector<core::configuration> batch = random_configs(17, seed);
     batch.push_back(batch.front());  // in-batch duplicate exercises dedup
     batch.push_back(batch[3]);
     const std::vector<core::evaluation> ra = a.evaluate_batch(batch);
@@ -410,6 +413,7 @@ TEST_F(engine_pair, soa_dispatch_is_bit_identical_to_scalar_with_same_counters) 
     const std::vector<core::evaluation> warm = a.evaluate_batch(batch);
     for (std::size_t i = 0; i < warm.size(); ++i) expect_eval_identical(warm[i], ra[i]);
     expect_eval_identical(a.evaluate(batch.front()), rb.front());
+    expect_eval_identical(b.evaluate(batch.back()), ra.back());
   }
 }
 

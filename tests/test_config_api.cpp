@@ -183,6 +183,16 @@ TEST(config_errors, unknown_keys_are_rejected_by_path) {
   expect_config_error(R"({"engine": {"shard_count": 4}})", "engine.shard_count");
   expect_config_error(R"({"ga": {"island": {"migrantz": 1}}})", "ga.island.migrantz");
   expect_config_error(R"({"scheduler": {"policy": "drop"}})", "scheduler.policy");
+  // Removed knob: owned misses are always evaluated as SoA batches.
+  expect_config_error(R"({"engine": {"soa_batch": true}})", "engine.soa_batch");
+  service_config cfg;
+  try {
+    serving::apply_override(cfg, "engine.soa_batch=false");
+    FAIL() << "accepted the removed engine.soa_batch key";
+  } catch (const config_error& e) {
+    EXPECT_EQ(e.path(), "engine.soa_batch");
+    EXPECT_NE(std::string(e.what()).find("unknown key"), std::string::npos);
+  }
 }
 
 TEST(config_errors, out_of_range_values_are_rejected_by_path) {

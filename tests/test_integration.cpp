@@ -1,6 +1,6 @@
 // Cross-module integration tests: four-CU mapping (M=4 with the CPU
 // cluster), constraint-regime sweeps, alternative architectures through the
-// whole optimizer, and end-to-end determinism.
+// whole mapping service, and end-to-end determinism.
 
 #include <gtest/gtest.h>
 
@@ -8,9 +8,9 @@
 
 #include "core/baselines.h"
 #include "core/evolutionary.h"
-#include "core/optimizer.h"
 #include "core/serialization.h"
 #include "nn/models.h"
+#include "serving/mapping_service.h"
 #include "soc/platform.h"
 
 namespace {
@@ -67,15 +67,20 @@ TEST(integration, reuse_regimes_monotone_in_constraint) {
   }
 }
 
-TEST(integration, mobilenet_through_full_optimizer) {
+TEST(integration, mobilenet_through_mapping_service) {
   const auto net = nn::build_mobilenet_cifar();
   const auto plat = soc::agx_xavier();
-  core::optimizer_options opt;
-  opt.ga = tiny(13);
-  opt.use_surrogate = false;  // keep the test fast
-  core::optimizer mapper{net, plat, opt};
-  const auto res = mapper.run();
-  EXPECT_FALSE(res.validated.empty());
+  serving::service_options sopt;
+  sopt.engine.threads = 4;
+  serving::mapping_service service{sopt};
+  service.register_network(net);
+  service.register_platform(plat);
+  serving::mapping_request req;
+  req.network = net.name;
+  req.ga = tiny(13);
+  req.use_surrogate = false;  // keep the test fast
+  const auto res = service.map(req);
+  EXPECT_FALSE(res.front.empty());
   EXPECT_GT(res.ours_energy().accuracy_pct, 50.0);
 }
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <stdexcept>
@@ -107,6 +108,14 @@ TEST_F(service_fixture, surrogate_trains_once_per_session) {
   EXPECT_EQ(second.search_cache.misses, 0u);  // warm surrogate engine
   expect_same_front(first, second);
 
+  // Table II pick rules: the energy pick never costs more energy than the
+  // latency pick, and both stay within their slack of the best accuracy.
+  EXPECT_LE(first.ours_energy().avg_energy_mj, first.ours_latency().avg_energy_mj + 1e-9);
+  double best_acc = 0.0;
+  for (const auto& e : first.front) best_acc = std::max(best_acc, e.accuracy_pct);
+  EXPECT_GE(first.ours_energy().accuracy_pct, best_acc - req.ours_e_accuracy_slack - 1e-9);
+  EXPECT_GE(first.ours_latency().accuracy_pct, best_acc - req.ours_l_accuracy_slack - 1e-9);
+
   // A session's predictor is immutable: different training knobs are an error.
   mapping_request clashing = req;
   clashing.gbt.n_trees = 31;
@@ -135,6 +144,17 @@ TEST_F(service_fixture, rejects_unregistered_platform_and_foreign_predictor) {
   mapping_request req = tiny_request(cnn.name);
   req.platform = "no-such-platform";
   EXPECT_THROW((void)service.map(req), std::invalid_argument);
+
+  // Sessions own their predictors: a caller-trained one is refused.
+  const std::vector<const nn::network*> nets = {&cnn};
+  surrogate::benchmark_options bopt;
+  bopt.samples = 200;
+  surrogate::gbt_params gopt;
+  gopt.n_trees = 5;
+  const surrogate::hw_predictor foreign{surrogate::generate_benchmark(nets, plat, bopt), gopt};
+  mapping_request injected = tiny_request(cnn.name);
+  injected.eval.predictor = &foreign;
+  EXPECT_THROW((void)service.map(injected), std::invalid_argument);
 }
 
 TEST_F(service_fixture, concurrent_requests_on_one_session_share_the_cache) {
