@@ -1,5 +1,6 @@
 #include "core/configuration.h"
 
+#include <bit>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -88,6 +89,95 @@ std::string configuration::describe(const soc::platform& plat) const {
   }
   os << util::format("| reuse %.1f%%", 100.0 * fmap_reuse_ratio());
   return os.str();
+}
+
+// Packed configuration layout, in 64-bit words:
+//   [0..4)  partition rows P, forward rows F, mapping size M, dvfs size U
+//   P words partition row lengths, then F words forward row lengths
+//   every partition cell (std::bit_cast of the double), row by row
+//   M mapping entries, then U dvfs levels
+//   every forward bit, row by row, 64 to a word from the low bit up
+std::size_t packed_configuration::word_count(const configuration& c) noexcept {
+  std::size_t cells = 0;
+  for (const auto& row : c.partition) cells += row.size();
+  std::size_t bits = 0;
+  for (const auto& row : c.forward) bits += row.size();
+  return 4 + c.partition.size() + c.forward.size() + cells + c.mapping.size() + c.dvfs.size() +
+         (bits + 63) / 64;
+}
+
+packed_configuration::packed_configuration(const configuration& config) {
+  words_.reserve(word_count(config));
+  words_.push_back(config.partition.size());
+  words_.push_back(config.forward.size());
+  words_.push_back(config.mapping.size());
+  words_.push_back(config.dvfs.size());
+  for (const auto& row : config.partition) words_.push_back(row.size());
+  for (const auto& row : config.forward) words_.push_back(row.size());
+  for (const auto& row : config.partition)
+    for (const double v : row) words_.push_back(std::bit_cast<std::uint64_t>(v));
+  for (const std::size_t m : config.mapping) words_.push_back(m);
+  for (const std::size_t u : config.dvfs) words_.push_back(u);
+  std::size_t bit = 0;
+  for (const auto& row : config.forward) {
+    for (const bool b : row) {
+      if (bit % 64 == 0) words_.push_back(0);
+      if (b) words_.back() |= std::uint64_t{1} << (bit % 64);
+      ++bit;
+    }
+  }
+}
+
+bool packed_configuration::operator==(const configuration& config) const noexcept {
+  const std::uint64_t* w = words_.data();
+  if (w[0] != config.partition.size() || w[1] != config.forward.size() ||
+      w[2] != config.mapping.size() || w[3] != config.dvfs.size())
+    return false;
+  std::size_t k = 4;
+  for (const auto& row : config.partition)
+    if (w[k++] != row.size()) return false;
+  for (const auto& row : config.forward)
+    if (w[k++] != row.size()) return false;
+  // Shapes match, so every read below stays inside the buffer. Cells
+  // compare as doubles (0.0 == -0.0, NaN never equal), as
+  // configuration::operator== does.
+  for (const auto& row : config.partition)
+    for (const double v : row)
+      if (std::bit_cast<double>(w[k++]) != v) return false;
+  for (const std::size_t m : config.mapping)
+    if (w[k++] != m) return false;
+  for (const std::size_t u : config.dvfs)
+    if (w[k++] != u) return false;
+  std::size_t bit = 0;
+  for (const auto& row : config.forward) {
+    for (const bool b : row) {
+      if (((w[k + bit / 64] >> (bit % 64)) & 1U) != static_cast<std::uint64_t>(b)) return false;
+      ++bit;
+    }
+  }
+  return true;
+}
+
+configuration packed_configuration::unpack() const {
+  const std::uint64_t* w = words_.data();
+  configuration config;
+  config.partition.resize(w[0]);
+  config.forward.resize(w[1]);
+  config.mapping.resize(w[2]);
+  config.dvfs.resize(w[3]);
+  std::size_t k = 4;
+  for (auto& row : config.partition) row.resize(w[k++]);
+  for (auto& row : config.forward) row.resize(w[k++]);
+  for (auto& row : config.partition)
+    for (double& v : row) v = std::bit_cast<double>(w[k++]);
+  for (std::size_t& m : config.mapping) m = w[k++];
+  for (std::size_t& u : config.dvfs) u = w[k++];
+  std::size_t bit = 0;
+  for (auto& row : config.forward) {
+    for (std::size_t i = 0; i < row.size(); ++i, ++bit)
+      row[i] = ((w[k + bit / 64] >> (bit % 64)) & 1U) != 0;
+  }
+  return config;
 }
 
 }  // namespace mapcq::core

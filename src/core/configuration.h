@@ -11,6 +11,7 @@
 //  * theta (DVFS):   dvfs[u]         -- DVFS level of platform unit u.
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -47,6 +48,30 @@ struct configuration {
 
   /// Compact human-readable summary (for logs and examples).
   [[nodiscard]] std::string describe(const soc::platform& plat) const;
+};
+
+/// A configuration flattened into one allocation of 64-bit words: the form
+/// `evaluation_engine` keeps cached configurations in. A `configuration`
+/// costs 2G+2 heap allocations for G partition groups; this costs one.
+/// Ragged shapes are kept as they are.
+class packed_configuration {
+ public:
+  explicit packed_configuration(const configuration& config);
+
+  /// Words a packed copy of `config` takes: four shape words, one per row
+  /// length, partition cell, mapping entry and DVFS level, and the forward
+  /// bits rounded up to whole words.
+  [[nodiscard]] static std::size_t word_count(const configuration& config) noexcept;
+
+  /// Compares field by field, exactly as `configuration::operator==` does
+  /// (so 0.0 equals -0.0 and a NaN cell equals nothing).
+  [[nodiscard]] bool operator==(const configuration& config) const noexcept;
+
+  /// The configuration back, bit-identical to the one packed.
+  [[nodiscard]] configuration unpack() const;
+
+ private:
+  std::vector<std::uint64_t> words_;
 };
 
 }  // namespace mapcq::core

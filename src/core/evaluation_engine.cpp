@@ -20,16 +20,21 @@ std::size_t shard_count(const engine_options& opt) {
 
 std::size_t approx_evaluation_bytes(const evaluation& e) noexcept {
   std::size_t n = sizeof(evaluation);
-  for (const auto& row : e.config.partition) n += sizeof(row) + row.capacity() * sizeof(double);
-  for (const auto& row : e.config.forward) n += sizeof(row) + row.capacity() / 8;
-  n += e.config.mapping.capacity() * sizeof(std::size_t);
-  n += e.config.dvfs.capacity() * sizeof(std::size_t);
-  n += e.reject_reason.capacity();
-  n += e.stage_latency_ms.capacity() * sizeof(double);
-  n += e.stage_energy_mj.capacity() * sizeof(double);
-  n += e.stage_accuracy_pct.capacity() * sizeof(double);
-  n += e.exit_fractions.capacity() * sizeof(double);
+  n += packed_configuration::word_count(e.config) * sizeof(std::uint64_t);
+  // Sizes, not capacities: the entry holds a copy, which is sized to fit,
+  // so the count is the same whichever copy of `e` it is taken from.
+  n += e.reject_reason.size();
+  n += e.stage_latency_ms.size() * sizeof(double);
+  n += e.stage_energy_mj.size() * sizeof(double);
+  n += e.stage_accuracy_pct.size() * sizeof(double);
+  n += e.exit_fractions.size() * sizeof(double);
   return n;
+}
+
+evaluation evaluation_engine::cache_entry::restore() const {
+  evaluation out = value;
+  out.config = packed.unpack();
+  return out;
 }
 
 evaluation_engine::evaluation_engine(const evaluator& eval, engine_options opt)
@@ -110,9 +115,11 @@ void evaluation_engine::insert(std::size_t key, const evaluation& result,
   // A concurrent batch may have raced us to the same configuration; keep
   // the first copy so the bucket stays in step with the eviction list.
   for (const entry_list::iterator entry : bucket)
-    if (entry->epoch == epoch && entry->value.config == result.config) return;
+    if (entry->epoch == epoch && entry->packed == result.config) return;
   const std::size_t entry_bytes = approx_evaluation_bytes(result);
-  s.order.push_back(cache_entry{key, epoch, entry_bytes, result});
+  s.order.push_back(
+      cache_entry{key, epoch, entry_bytes, result, packed_configuration{result.config}});
+  s.order.back().value.config = configuration{};
   bucket.push_back(std::prev(s.order.end()));
   bytes_.fetch_add(entry_bytes, std::memory_order_relaxed);
 
@@ -147,11 +154,11 @@ evaluation_engine::claim evaluation_engine::claim_slot(std::size_t key,
   const auto it = s.map.find(key);
   if (it != s.map.end()) {
     for (const entry_list::iterator entry : it->second) {
-      if (entry->epoch == epoch && entry->value.config == config) {
+      if (entry->epoch == epoch && entry->packed == config) {
         if (opt_.eviction == eviction_policy::lru)
           s.order.splice(s.order.end(), s.order, entry);
         c.outcome = claim::kind::hit;
-        c.value = entry->value;
+        c.value = entry->restore();
         hits_.fetch_add(1, std::memory_order_relaxed);
         return c;
       }
@@ -523,7 +530,7 @@ std::vector<evaluation> evaluation_engine::export_cache() const {
   for (const shard& s : shards_) {
     const std::lock_guard<std::mutex> lock{s.mu};
     for (const cache_entry& entry : s.order)
-      if (entry.epoch == epoch) out.push_back(entry.value);
+      if (entry.epoch == epoch) out.push_back(entry.restore());
   }
   return out;
 }

@@ -108,11 +108,13 @@ struct engine_stats {
   return a;
 }
 
-/// Approximate memory footprint of one cached evaluation: the struct plus
-/// its heap payloads (configuration matrices, per-stage vectors, reject
-/// reason). An estimate, not an accounting — allocator overhead and
-/// small-string storage are ignored — but proportional to the real cost,
-/// which is what capacity/spill decisions need.
+/// Approximate memory footprint of one cached evaluation as the engine
+/// stores it: the struct, its configuration as a `packed_configuration`
+/// (`word_count` 64-bit words), and its other heap payloads (per-stage
+/// vectors, reject reason). An estimate, not an accounting — allocator
+/// overhead, list and map nodes, and small-string storage are ignored — but
+/// proportional to the real cost, which is what capacity/spill decisions
+/// need.
 [[nodiscard]] std::size_t approx_evaluation_bytes(const evaluation& e) noexcept;
 
 /// Thread-safe memoizing front-end of one `evaluator`.
@@ -234,7 +236,7 @@ class evaluation_engine {
 
  private:
   // Hash collisions are resolved by exact configuration equality against
-  // the `evaluation::config` stored in each entry. Entries live on the
+  // the packed configuration stored in each entry. Entries live on the
   // eviction list (coldest at the front); the map indexes them by key. An
   // LRU hit splices its entry to the back, FIFO leaves the order alone.
   // Every entry and slot is tagged with the epoch that produced it; lookups
@@ -249,8 +251,12 @@ class evaluation_engine {
   struct cache_entry {
     std::size_t key = 0;
     std::uint64_t epoch = 0;
-    std::size_t bytes = 0;  ///< approx_evaluation_bytes(value), frozen at insert
-    evaluation value;
+    std::size_t bytes = 0;  ///< approx_evaluation_bytes at insert, frozen
+    evaluation value;       ///< with an empty `config`; `packed` holds it
+    packed_configuration packed;
+
+    /// The cached evaluation with its configuration rebuilt.
+    [[nodiscard]] evaluation restore() const;
   };
   using entry_list = std::list<cache_entry>;
   struct inflight_slot {

@@ -34,6 +34,10 @@ fitted_ensemble gbt_trainer::fit(std::span<const std::vector<double>> x,
   std::vector<double> pred(n, out.base);
   std::vector<double> residual(n);
 
+  // Column-major values and per-feature (value, row) orders, built once and
+  // shared by every tree of the fit.
+  const presorted_columns cols{x};
+
   util::rng gen{params_.seed};
   std::vector<std::size_t> all_rows(n);
   for (std::size_t i = 0; i < n; ++i) all_rows[i] = i;
@@ -52,7 +56,7 @@ fitted_ensemble gbt_trainer::fit(std::span<const std::vector<double>> x,
       rows = all_rows;
     }
 
-    out.trees.emplace_back(x, residual, rows, params_.tree);
+    out.trees.emplace_back(cols, residual, rows, params_.tree);
     for (std::size_t i = 0; i < n; ++i)
       pred[i] += params_.learning_rate * out.trees.back().predict(x[i]);
   }

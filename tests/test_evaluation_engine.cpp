@@ -1,11 +1,14 @@
 // Memoizing evaluation-engine tests: hash/equality identity, bit-identical
 // cached results, in-batch dedup, cross-thread in-flight dedup, async batch
-// futures, concurrent batch determinism, capacity eviction and GA
-// cache-stat accounting.
+// futures, concurrent batch determinism, capacity eviction, GA cache-stat
+// accounting and packed cache entries.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <future>
 #include <thread>
 #include <vector>
@@ -370,6 +373,164 @@ TEST_F(engine_fixture, dropping_an_async_future_still_populates_the_cache) {
   const auto s = engine.stats();
   EXPECT_EQ(s.misses, configs.size());
   EXPECT_EQ(s.hits + s.inflight, configs.size());
+}
+
+// --- packed cache entries --------------------------------------------------
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// Bit-for-bit configuration equality: unlike operator==, tells 0.0 from
+// -0.0 and compares row shapes before cells.
+void expect_same_bits(const configuration& a, const configuration& b) {
+  ASSERT_EQ(a.partition.size(), b.partition.size());
+  for (std::size_t g = 0; g < a.partition.size(); ++g) {
+    ASSERT_EQ(a.partition[g].size(), b.partition[g].size());
+    for (std::size_t i = 0; i < a.partition[g].size(); ++i)
+      EXPECT_EQ(bits(a.partition[g][i]), bits(b.partition[g][i])) << g << "," << i;
+  }
+  EXPECT_EQ(a.forward, b.forward);
+  EXPECT_EQ(a.mapping, b.mapping);
+  EXPECT_EQ(a.dvfs, b.dvfs);
+}
+
+// Ragged on purpose: rows of unequal length, an empty row, forward rows
+// that do not match the partition's shape and a bit run crossing a word.
+configuration ragged_config() {
+  configuration c;
+  c.partition = {{0.5, 0.25, 0.25}, {1.0}, {}, {0.1, 0.2, 0.3, 0.4, -0.0}};
+  c.forward = {{true, false}, std::vector<bool>(70, false), {}};
+  c.forward[1][3] = true;
+  c.forward[1][69] = true;
+  c.mapping = {2, 0, 1};
+  c.dvfs = {};
+  return c;
+}
+
+TEST(packed_configuration, round_trips_bit_exactly_including_ragged_shapes) {
+  const configuration c = ragged_config();
+  const core::packed_configuration packed{c};
+  EXPECT_TRUE(packed == c);
+  expect_same_bits(packed.unpack(), c);
+  // 4 shape words + 4 + 3 row lengths + 9 cells + 3 mapping + 0 dvfs +
+  // 72 forward bits in 2 words.
+  EXPECT_EQ(core::packed_configuration::word_count(c), 4u + 7u + 9u + 3u + 0u + 2u);
+}
+
+TEST(packed_configuration, compares_exactly_like_configuration_equality) {
+  const configuration c = ragged_config();
+  const core::packed_configuration packed{c};
+
+  configuration bit = c;
+  bit.forward[1][69] = false;  // one forward bit, in the second word
+  EXPECT_FALSE(packed == bit);
+  configuration ulp = c;
+  ulp.partition[3][2] = std::nextafter(ulp.partition[3][2], 1.0);  // one ulp in one cell
+  EXPECT_FALSE(packed == ulp);
+  configuration reshaped = c;  // same cells, moved across a row boundary
+  reshaped.partition[0] = {0.5, 0.25};
+  reshaped.partition[1] = {0.25, 1.0};
+  EXPECT_FALSE(packed == reshaped);
+  configuration longer = c;
+  longer.dvfs.push_back(0);
+  EXPECT_FALSE(packed == longer);
+
+  // operator== semantics: -0.0 equals 0.0, and a NaN cell equals nothing.
+  configuration zero = c;
+  zero.partition[3][4] = 0.0;
+  EXPECT_TRUE(zero == c);
+  EXPECT_TRUE(packed == zero);
+  configuration nan = c;
+  nan.partition[1][0] = std::nan("");
+  EXPECT_FALSE(nan == nan);
+  EXPECT_FALSE(core::packed_configuration{nan} == nan);
+}
+
+TEST_F(engine_fixture, hit_and_export_are_bit_identical_to_the_miss_result) {
+  evaluation_engine engine{eval};
+  const configuration c = random_configs(1, 41).front();
+  const evaluation miss = engine.evaluate(c);
+  const evaluation hit = engine.evaluate(c);
+  const std::vector<evaluation> exported = engine.export_cache();
+  ASSERT_EQ(exported.size(), 1u);
+  for (const evaluation* e : {&hit, &exported.front()}) {
+    expect_identical(*e, miss);
+    expect_same_bits(e->config, miss.config);
+  }
+  expect_same_bits(miss.config, c);
+}
+
+TEST_F(engine_fixture, configs_one_bit_or_one_ulp_apart_never_share_an_entry) {
+  evaluation_engine engine{eval};
+  const configuration c = random_configs(1, 43).front();
+  ASSERT_GT(c.stages(), 1u);
+  configuration bit = c;
+  bit.forward[0][0] = !bit.forward[0][0];
+  configuration ulp = c;
+  ulp.partition[0][0] = std::nextafter(ulp.partition[0][0], 2.0);
+  const std::vector<const configuration*> probes = {&c, &bit, &ulp, &c, &bit, &ulp};
+  for (const configuration* probe : probes) {
+    const evaluation e = engine.evaluate(*probe);
+    expect_same_bits(e.config, *probe);
+  }
+  EXPECT_EQ(engine.stats().misses, 3u);
+  EXPECT_EQ(engine.stats().hits, 3u);
+  EXPECT_EQ(engine.size(), 3u);
+}
+
+TEST_F(engine_fixture, signed_zero_probe_hits_and_returns_the_stored_bits) {
+  // -0.0 and 0.0 hash equal and compare equal, so this probe lands in the
+  // stored entry's bucket and must match it through the packed compare.
+  configuration c = random_configs(1, 47).front();
+  ASSERT_GT(c.stages(), 1u);
+  c.partition[0][0] += c.partition[0][1];  // stage 0 keeps a nonzero slice
+  c.partition[0][1] = 0.0;
+  configuration negative = c;
+  negative.partition[0][1] = -0.0;
+  ASSERT_EQ(c.hash(), negative.hash());
+  evaluation_engine engine{eval};
+  const evaluation stored = engine.evaluate(c);
+  const evaluation hit = engine.evaluate(negative);
+  EXPECT_EQ(engine.stats().hits, 1u);
+  expect_identical(hit, stored);
+  expect_same_bits(hit.config, c);
+}
+
+TEST_F(engine_fixture, import_then_export_is_the_identity) {
+  evaluation_engine source{eval};
+  (void)source.evaluate_batch(random_configs(24, 53));
+  const std::vector<evaluation> entries = source.export_cache();
+  ASSERT_EQ(entries.size(), 24u);
+
+  evaluation_engine restored{eval};
+  restored.import_cache(entries);
+  const std::vector<evaluation> again = restored.export_cache();
+  ASSERT_EQ(again.size(), entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    expect_identical(again[i], entries[i]);
+    expect_same_bits(again[i].config, entries[i].config);
+  }
+  EXPECT_EQ(restored.stats().cache_bytes, source.stats().cache_bytes);
+}
+
+TEST_F(engine_fixture, cache_bytes_account_the_packed_layout) {
+  evaluation_engine engine{eval};
+  const auto configs = random_configs(6, 59);
+  std::size_t expected_total = 0;
+  for (const configuration& c : configs) {
+    const evaluation e = engine.evaluate(c);
+    // G groups x S stages, U units: 4 shape words, G + G row lengths, G*S
+    // cells, S mapping entries, U DVFS levels, G*S forward bits.
+    const std::size_t g = c.groups();
+    const std::size_t s = c.stages();
+    const std::size_t words = 4 + 2 * g + g * s + s + c.dvfs.size() + (g * s + 63) / 64;
+    ASSERT_EQ(core::packed_configuration::word_count(c), words);
+    const std::size_t bytes = sizeof(evaluation) + 8 * words + e.reject_reason.size() +
+                              8 * (e.stage_latency_ms.size() + e.stage_energy_mj.size() +
+                                   e.stage_accuracy_pct.size() + e.exit_fractions.size());
+    EXPECT_EQ(core::approx_evaluation_bytes(e), bytes);
+    expected_total += bytes;
+  }
+  EXPECT_EQ(engine.stats().cache_bytes, expected_total);
 }
 
 TEST(hashing, combine_is_order_and_length_sensitive) {
