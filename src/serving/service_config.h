@@ -1,22 +1,33 @@
 #pragma once
-// The unified, serializable configuration surface of the serving stack
-// (ROADMAP: "config + replay refactor"). Every knob the system grew across
-// the engine / GA / scheduler / refresh layers is code-only without this
-// file; here each options struct gains `to_json` / `from_json` / `validate`
-// bindings, composed into one top-level `service_config` so a
-// `mapping_service` can be booted from a JSON file and every
-// `mapping_report` can record the exact effective config that produced it.
+// The unified, serializable configuration surface of the serving stack.
+// One JSON document (`service_config`) boots a `mapping_service` or a
+// `service_group`, and every `mapping_report` records the exact effective
+// config that produced it.
 //
-// Contract of the bindings:
-//   * to_json(x) emits every field, defaults included, in declaration
-//     order — dump(to_json(x)) is deterministic, so equal configs always
-//     serialize to byte-identical text (the bit-identity tests gate on it).
-//   * from_json starts from the struct's defaults, overwrites the fields
-//     present, rejects unknown keys, and range-checks via validate(). All
-//     failures throw `config_error` naming the dotted key path
-//     ("ga.elite_fraction"), never a bare json error.
-//   * chrono fields serialize as integral milliseconds under a `_ms`
-//     suffixed key; enums serialize as strings ("lru", "reject", ...).
+// The schema. Each option struct is described exactly once, by its
+// describe(visitor, struct) function in service_config.cpp: its fields in
+// JSON order, each with its key, member and an optional range check that
+// carries its message. The member's type gives the field's kind (the table
+// is in util/json_schema.h, whose reader, writer and checker walk that one
+// list for from_json, to_json and validate). To add a knob, add the member
+// to its option struct, one describe() line, and one row to the config
+// tables of docs/SERVING.md; test_config_schema checks those tables
+// against to_json's keys.
+//
+// The contract:
+//   * to_json(x) emits every field, defaults included, in schema order.
+//     Equal configs therefore dump to byte-identical text (the bit-identity
+//     tests gate on it). Durations are integral milliseconds under a `_ms`
+//     key, enums are strings, map entries are sorted by key.
+//   * from_json starts from the struct's current values and overwrites the
+//     fields present. Every failure is a `config_error` naming the dotted
+//     key path ("ga.elite_fraction") and a fixed message, never a bare json
+//     error. When a document has several faults, the one reported is fixed
+//     too (util/json_schema.h gives the order). A nested block with its own
+//     from_json (engine, ga, a resident, ...) is range-checked as soon as
+//     it is read; ga's sub-objects are range-checked with ga.
+//     tests/test_config_schema.cpp pins every message.
+//   * validate(x) runs the same range checks on a struct built in code.
 
 #include <stdexcept>
 #include <string>
@@ -65,65 +76,56 @@ struct service_config {
   soc::contention_context scenario;
 };
 
-/// @name Per-struct JSON bindings
-/// to_json emits all fields in declaration order; from_json overwrites
-/// `out` (starting from its current values) from the object in `v`,
-/// rejecting unknown keys and out-of-range values with `config_error`s
-/// rooted at `path`.
+/// @name The option structs the schema describes
+/// `config_block_root<T>` is the key path a struct's errors are rooted at
+/// when it is read or validated on its own; `config_block` admits exactly
+/// these structs to the three verbs below.
 /// @{
-[[nodiscard]] util::json::value to_json(const core::engine_options& opt);
-[[nodiscard]] util::json::value to_json(const core::ga_options& opt);
-[[nodiscard]] util::json::value to_json(const scheduler_options& opt);
-[[nodiscard]] util::json::value to_json(const surrogate::refresh_options& opt);
-[[nodiscard]] util::json::value to_json(const snapshot_options& opt);
-[[nodiscard]] util::json::value to_json(const group_options& opt);
-[[nodiscard]] util::json::value to_json(const service_options& opt);
-[[nodiscard]] util::json::value to_json(const soc::thermal_model& model);
-[[nodiscard]] util::json::value to_json(const soc::resident_load& load);
-[[nodiscard]] util::json::value to_json(const soc::contention_context& ctx);
-[[nodiscard]] util::json::value to_json(const service_config& cfg);
+template <class T>
+inline constexpr const char* config_block_root = nullptr;
+template <>
+inline constexpr const char* config_block_root<core::engine_options> = "engine";
+template <>
+inline constexpr const char* config_block_root<core::ga_options> = "ga";
+template <>
+inline constexpr const char* config_block_root<scheduler_options> = "scheduler";
+template <>
+inline constexpr const char* config_block_root<surrogate::refresh_options> = "refresh";
+template <>
+inline constexpr const char* config_block_root<snapshot_options> = "snapshot";
+template <>
+inline constexpr const char* config_block_root<group_options> = "group";
+template <>
+inline constexpr const char* config_block_root<service_options> = "service";
+template <>
+inline constexpr const char* config_block_root<soc::thermal_model> = "thermal";
+template <>
+inline constexpr const char* config_block_root<soc::resident_load> = "resident";
+template <>
+inline constexpr const char* config_block_root<soc::contention_context> = "scenario";
+template <>
+inline constexpr const char* config_block_root<service_config> = "";
 
-void from_json(const util::json::value& v, core::engine_options& out,
-               const std::string& path = "engine");
-void from_json(const util::json::value& v, core::ga_options& out, const std::string& path = "ga");
-void from_json(const util::json::value& v, scheduler_options& out,
-               const std::string& path = "scheduler");
-void from_json(const util::json::value& v, surrogate::refresh_options& out,
-               const std::string& path = "refresh");
-void from_json(const util::json::value& v, snapshot_options& out,
-               const std::string& path = "snapshot");
-void from_json(const util::json::value& v, group_options& out,
-               const std::string& path = "group");
-void from_json(const util::json::value& v, service_options& out,
-               const std::string& path = "service");
-void from_json(const util::json::value& v, soc::thermal_model& out,
-               const std::string& path = "thermal");
-void from_json(const util::json::value& v, soc::resident_load& out,
-               const std::string& path = "resident");
-void from_json(const util::json::value& v, soc::contention_context& out,
-               const std::string& path = "scenario");
-void from_json(const util::json::value& v, service_config& out, const std::string& path = "");
+template <class T>
+concept config_block = config_block_root<T> != nullptr;
 /// @}
 
-/// @name Range validation
-/// Checks the semantic constraints the engines enforce at construction
-/// (population >= 4, elite_fraction in (0,1), holdout_fraction in (0,1),
-/// weights >= 1, ...), throwing `config_error` with the offending key path
-/// rooted at `path`. from_json calls these; call them directly after
-/// mutating a struct in code.
-/// @{
-void validate(const core::engine_options& opt, const std::string& path = "engine");
-void validate(const core::ga_options& opt, const std::string& path = "ga");
-void validate(const scheduler_options& opt, const std::string& path = "scheduler");
-void validate(const surrogate::refresh_options& opt, const std::string& path = "refresh");
-void validate(const snapshot_options& opt, const std::string& path = "snapshot");
-void validate(const group_options& opt, const std::string& path = "group");
-void validate(const service_options& opt, const std::string& path = "service");
-void validate(const soc::thermal_model& model, const std::string& path = "thermal");
-void validate(const soc::resident_load& load, const std::string& path = "resident");
-void validate(const soc::contention_context& ctx, const std::string& path = "scenario");
-void validate(const service_config& cfg, const std::string& path = "");
-/// @}
+/// Emits every field, defaults included, in schema order.
+template <config_block T>
+[[nodiscard]] util::json::value to_json(const T& opt);
+
+/// Overwrites `out` (starting from its current values) from the object in
+/// `v`, rejecting unknown keys and out-of-range values with
+/// `config_error`s rooted at `path`.
+template <config_block T>
+void from_json(const util::json::value& v, T& out, const std::string& path = config_block_root<T>);
+
+/// Runs the schema's range checks (population >= 4, elite_fraction in
+/// (0,1), weights >= 1, ...) on a struct built or changed in code,
+/// throwing `config_error` with the offending key path rooted at `path`.
+/// from_json runs them too.
+template <config_block T>
+void validate(const T& opt, const std::string& path = config_block_root<T>);
 
 /// Parses a service_config from JSON text. Starts from defaults (an empty
 /// object "{}" is the default config), throws config_error on malformed
