@@ -1,8 +1,8 @@
 #pragma once
 // Persistence for mapping artifacts: a deployment tool wants to search once
-// and ship the winners to the runtime. Two text formats, both line-oriented
-// (key = value, matrix rows as whitespace-separated values) -- trivially
-// diffable and versioned:
+// and ship the winners to the runtime. Five versioned, line-oriented text
+// formats (`key v1 v2 ...` rows, 17-digit floats), all written and read by
+// the one line codec in util/line_codec.h -- trivially diffable:
 //   * mapcq-config-v1: one Pi = (P, I, M, theta) configuration
 //   * mapcq-report-v1: a serving::mapping_report summary -- the validated
 //     Pareto front's configurations with their headline evaluation scalars
@@ -10,6 +10,11 @@
 //   * mapcq-trace-v1: a captured stream of serving submit()s (arrival
 //     offsets, priorities, deadlines, lanes, fingerprints) for offline
 //     replay (see serving/request_trace.h).
+//   * mapcq-eval-v1: one full evaluation record, the cache-entry unit of
+//     session snapshots.
+//   * mapcq-snapshot-v1: a serving session's warm state
+//     (serving/session_snapshot.h), embedding eval and config blocks.
+// Every parse failure throws std::runtime_error naming the line.
 
 #include <cstddef>
 #include <cstdint>
@@ -20,6 +25,7 @@
 
 #include "core/configuration.h"
 #include "core/evaluator.h"
+#include "util/line_codec.h"
 
 namespace mapcq::core {
 
@@ -29,10 +35,6 @@ namespace mapcq::core {
 /// Parses a configuration back. Throws std::runtime_error on malformed
 /// input (missing sections, ragged matrices, non-numeric fields).
 [[nodiscard]] configuration configuration_from_text(const std::string& text);
-
-/// File convenience wrappers. save throws std::runtime_error on I/O failure.
-void save_configuration(const std::string& path, const configuration& config);
-[[nodiscard]] configuration load_configuration(const std::string& path);
 
 /// One shipped pick: a configuration plus the evaluation scalars a runtime
 /// needs to select among the front without re-running the evaluator.
@@ -131,7 +133,8 @@ struct report_summary {
 /// pick indices out of range).
 [[nodiscard]] report_summary report_summary_from_text(const std::string& text);
 
-/// File convenience wrappers. save throws std::runtime_error on I/O failure.
+/// File forms of to_text / report_summary_from_text (util::write_file /
+/// util::read_file); both throw std::runtime_error on I/O failure.
 void save_report_summary(const std::string& path, const report_summary& summary);
 [[nodiscard]] report_summary load_report_summary(const std::string& path);
 
@@ -156,22 +159,24 @@ struct trace_record {
 /// std::runtime_error on malformed input.
 [[nodiscard]] std::vector<trace_record> trace_from_text(const std::string& text);
 
-/// File convenience wrappers. save throws std::runtime_error on I/O failure.
+/// File forms of to_text / trace_from_text; both throw std::runtime_error on
+/// I/O failure.
 void save_trace(const std::string& path, const std::vector<trace_record>& trace);
 [[nodiscard]] std::vector<trace_record> load_trace(const std::string& path);
 
 /// Serializes one full `evaluation` record (mapcq-eval-v1): every scalar at
 /// full precision, the per-stage vectors, and the configuration embedded in
-/// the mapcq-config-v1 format. This is the cache-entry unit of session
-/// snapshots (serving/session_snapshot.h) — a restored record must serve
-/// bit-identically, so nothing is summarized away. The block is
-/// self-delimiting (vector rows carry their length) and embeddable in
-/// larger documents.
+/// the mapcq-config-v1 format. A restored record must serve bit-identically,
+/// so nothing is summarized away.
 void write_evaluation(std::ostream& os, const evaluation& e);
 
-/// Parses one mapcq-eval-v1 block; exact round-trip of `write_evaluation`.
-/// Throws std::runtime_error on malformed input (bad header, short rows,
-/// non-numeric fields).
+/// Parses the mapcq-eval-v1 block that starts the rest of `is` (read to its
+/// end; trailing text is ignored); exact round-trip of `write_evaluation`.
+/// Throws std::runtime_error on malformed input.
 [[nodiscard]] evaluation read_evaluation(std::istream& is);
+
+/// The mapcq-eval-v1 rows, for formats that embed evaluations (session
+/// snapshots); instantiated for util::lines::line_writer and line_reader.
+void describe(auto& io, util::lines::is<evaluation> auto& e);
 
 }  // namespace mapcq::core

@@ -17,6 +17,8 @@ struct model_options {
   /// shared DRAM: bw_eff = bw / (1 + contention * (stages - 1)).
   double bandwidth_contention = 0.10;
   bool enable_contention = true;
+
+  bool operator==(const model_options&) const = default;
 };
 
 /// The roofline of one non-empty sublayer: launch overhead plus the larger

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <sstream>
-
 #include "util/json_schema.h"
+#include "util/line_codec.h"
 
 namespace mapcq::serving {
 
@@ -282,24 +280,13 @@ service_config parse_config(std::string_view text) {
 }
 
 service_config load_config(const std::string& file_path) {
-  std::ifstream in{file_path};
-  if (!in) throw std::runtime_error("load_config: cannot open " + file_path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return parse_config(buf.str());
+  return parse_config(util::read_file(file_path));
 }
 
 std::string dump_config(const service_config& cfg, int indent) {
   std::string text = util::json::dump(to_json(cfg), indent);
   if (indent > 0) text += '\n';
   return text;
-}
-
-void save_config(const service_config& cfg, const std::string& file_path) {
-  std::ofstream out{file_path};
-  if (!out) throw std::runtime_error("save_config: cannot open " + file_path);
-  out << dump_config(cfg);
-  if (!out) throw std::runtime_error("save_config: write failed for " + file_path);
 }
 
 void apply_override(service_config& cfg, std::string_view assignment) {

@@ -133,17 +133,14 @@ void validate(const T& opt, const std::string& path = config_block_root<T>);
 [[nodiscard]] service_config parse_config(std::string_view text);
 
 /// Reads and parses a config file. Throws std::runtime_error when the file
-/// cannot be read, config_error on content problems.
+/// cannot be read, config_error on content problems. (To write one,
+/// util::write_file(path, dump_config(cfg)).)
 [[nodiscard]] service_config load_config(const std::string& file_path);
 
 /// Serializes the effective config, defaults filled in. `indent` = 0 emits
 /// the compact one-line form (the `mapping_report::effective_config`
 /// stamp); 2 is the human-facing pretty form written by --dump-config.
 [[nodiscard]] std::string dump_config(const service_config& cfg, int indent = 2);
-
-/// Writes dump_config(cfg) to a file. Throws std::runtime_error on I/O
-/// failure.
-void save_config(const service_config& cfg, const std::string& file_path);
 
 /// Applies one `--set` style override of the form "dotted.key=value"
 /// (e.g. "ga.generations=8", "scheduler.policy=reject",

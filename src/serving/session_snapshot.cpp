@@ -1,8 +1,6 @@
 #include "serving/session_snapshot.h"
 
-#include <fstream>
 #include <sstream>
-#include <type_traits>
 #include <utility>
 
 #include "core/serialization.h"
@@ -10,290 +8,95 @@
 
 namespace mapcq::serving {
 
+using util::lines::is;
+
 namespace {
 
-constexpr const char* snapshot_tag = "mapcq-snapshot-v1";
-
-std::string next_line(std::istream& is, const char* what) {
-  std::string line;
-  if (!std::getline(is, line)) throw snapshot_error(std::string("missing ") + what);
-  return line;
+void describe_tree(auto& io, auto&& depth, auto& nodes) {
+  io.row("tree", depth, util::lines::size_of(nodes));
+  for (auto& n : nodes)
+    io.row("node", n.leaf, n.feature, n.threshold, n.value, n.gain, n.left, n.right);
 }
 
-template <class... Ts>
-void write_row(std::ostream& os, const char* key, const Ts&... values) {
-  os << key;
-  ((os << ' ' << values), ...);
-  os << '\n';
-}
-
-template <class T>
-void parse_token(const std::string& token, T& out) {
-  if constexpr (std::is_floating_point_v<T>)
-    out = static_cast<T>(std::stod(token));
-  else if constexpr (std::is_signed_v<T>)
-    out = static_cast<T>(std::stoll(token));
-  else
-    out = static_cast<T>(std::stoull(token));
-}
-
-/// Reads the next line as a mandatory `key v1 v2 ...` row (token-wise
-/// std::sto* parsing, so "inf"/"nan" scalars round-trip).
-template <class... Ts>
-void read_row(std::istream& is, const char* key, Ts&... values) {
-  std::istringstream ls{next_line(is, key)};
-  std::string k;
-  if (!(ls >> k) || k != key) throw snapshot_error(std::string("expected ") + key);
-  const auto next = [&](auto& out) {
-    std::string token;
-    if (!(ls >> token)) throw snapshot_error(std::string("short row for ") + key);
-    try {
-      parse_token(token, out);
-    } catch (const std::exception&) {
-      throw snapshot_error(std::string("bad value for ") + key);
+void describe(auto& io, is<surrogate::fitted_ensemble> auto& ens, std::string_view name) {
+  std::size_t trees = ens.trees.size();
+  io.row("ensemble", name, trees, ens.base, ens.train_rmse);
+  for (std::size_t t = 0; t < trees; ++t) {
+    if constexpr (std::remove_reference_t<decltype(io)>::reading) {
+      // Fitted trees are immutable: rebuild each from its rows through the
+      // restore constructor, which checks the child indices.
+      int depth = 0;
+      std::vector<surrogate::regression_tree::node> nodes;
+      describe_tree(io, depth, nodes);
+      ens.trees.emplace_back(std::move(nodes), depth);
+    } else {
+      describe_tree(io, ens.trees[t].depth(), ens.trees[t].nodes());
     }
-  };
-  (next(values), ...);
-}
-
-/// Reads a `key value...` line and returns everything after "key " verbatim
-/// (session keys contain spaces).
-std::string read_tail(std::istream& is, const char* key) {
-  const std::string line = next_line(is, key);
-  const std::string prefix = std::string(key) + ' ';
-  if (line.rfind(prefix, 0) != 0) {
-    if (line == key) return "";
-    throw snapshot_error(std::string("expected ") + key);
-  }
-  return line.substr(prefix.size());
-}
-
-std::size_t read_sized(std::istream& is, const char* key) {
-  std::size_t v = 0;
-  read_row(is, key, v);
-  return v;
-}
-
-bool read_flag(std::istream& is, const char* key) {
-  std::size_t v = 0;
-  read_row(is, key, v);
-  if (v > 1) throw snapshot_error(std::string("bad flag for ") + key);
-  return v == 1;
-}
-
-// --- evaluation lists -------------------------------------------------------
-
-void write_entries(std::ostream& os, const char* key,
-                   const std::vector<core::evaluation>& entries) {
-  write_row(os, key, entries.size());
-  for (const core::evaluation& e : entries) core::write_evaluation(os, e);
-}
-
-std::vector<core::evaluation> read_entries(std::istream& is, const char* key) {
-  const std::size_t n = read_sized(is, key);
-  std::vector<core::evaluation> entries;
-  entries.reserve(n);
-  // read_evaluation throws std::runtime_error; snapshot_from_text's outer
-  // catch retypes it, keeping every failure a snapshot_error.
-  for (std::size_t i = 0; i < n; ++i) entries.push_back(core::read_evaluation(is));
-  return entries;
-}
-
-// --- fitted ensembles -------------------------------------------------------
-
-void write_ensemble(std::ostream& os, const char* name, const surrogate::fitted_ensemble& ens) {
-  os << "ensemble " << name << ' ' << ens.trees.size() << ' ' << ens.base << ' ' << ens.train_rmse
-     << '\n';
-  for (const surrogate::regression_tree& tree : ens.trees) {
-    write_row(os, "tree", tree.depth(), tree.node_count());
-    for (const surrogate::regression_tree::node& nd : tree.nodes())
-      write_row(os, "node", nd.leaf ? 1 : 0, nd.feature, nd.threshold, nd.value, nd.gain, nd.left,
-                nd.right);
   }
 }
 
-surrogate::fitted_ensemble read_ensemble(std::istream& is, const char* name) {
-  std::size_t tree_count = 0;
-  surrogate::fitted_ensemble ens;
-  {
-    std::istringstream ls{next_line(is, "ensemble")};
-    std::string k;
-    std::string got;
-    if (!(ls >> k >> got) || k != "ensemble" || got != name)
-      throw snapshot_error(std::string("expected ensemble ") + name);
-    if (!(ls >> tree_count >> ens.base >> ens.train_rmse))
-      throw snapshot_error(std::string("short ensemble header for ") + name);
-  }
-  ens.trees.reserve(tree_count);
-  for (std::size_t t = 0; t < tree_count; ++t) {
-    int depth = 0;
-    std::size_t node_count = 0;
-    read_row(is, "tree", depth, node_count);
-    std::vector<surrogate::regression_tree::node> nodes;
-    nodes.reserve(node_count);
-    for (std::size_t i = 0; i < node_count; ++i) {
-      surrogate::regression_tree::node nd;
-      std::size_t leaf = 0;
-      read_row(is, "node", leaf, nd.feature, nd.threshold, nd.value, nd.gain, nd.left, nd.right);
-      nd.leaf = leaf != 0;
-      nodes.push_back(nd);
-    }
-    // The restore constructor validates structure (non-empty, child indices
-    // in range); its invalid_argument is retyped by the outer catch.
-    ens.trees.emplace_back(std::move(nodes), depth);
-  }
-  return ens;
+void describe(auto& io, is<surrogate::dataset> auto& ds, std::string_view name) {
+  io.row("dataset", name, util::lines::size_of(ds.x, ds.latency_ms, ds.energy_mj));
+  for (std::size_t i = 0; i < ds.size(); ++i)
+    io.row("row", util::lines::sized(ds.x[i]), ds.latency_ms[i], ds.energy_mj[i]);
 }
 
-// --- datasets ---------------------------------------------------------------
-
-void write_dataset(std::ostream& os, const char* name, const surrogate::dataset& ds) {
-  os << "dataset " << name << ' ' << ds.size() << '\n';
-  for (std::size_t i = 0; i < ds.size(); ++i) {
-    os << "row " << ds.x[i].size();
-    for (const double v : ds.x[i]) os << ' ' << v;
-    os << ' ' << ds.latency_ms[i] << ' ' << ds.energy_mj[i] << '\n';
-  }
-}
-
-surrogate::dataset read_dataset(std::istream& is, const char* name) {
-  std::size_t rows = 0;
-  {
-    std::istringstream ls{next_line(is, "dataset")};
-    std::string k;
-    std::string got;
-    if (!(ls >> k >> got >> rows) || k != "dataset" || got != name)
-      throw snapshot_error(std::string("expected dataset ") + name);
-  }
-  surrogate::dataset ds;
-  for (std::size_t i = 0; i < rows; ++i) {
-    std::istringstream ls{next_line(is, "dataset row")};
-    std::string k;
-    std::size_t width = 0;
-    if (!(ls >> k >> width) || k != "row") throw snapshot_error("expected dataset row");
-    std::vector<double> x(width);
-    double lat = 0.0;
-    double en = 0.0;
-    const auto next = [&](double& out) {
-      std::string token;
-      if (!(ls >> token)) throw snapshot_error("short dataset row");
-      try {
-        parse_token(token, out);
-      } catch (const std::exception&) {
-        throw snapshot_error("bad value in dataset row");
-      }
-    };
-    for (double& v : x) next(v);
-    next(lat);
-    next(en);
-    ds.add_row(std::move(x), lat, en);
-  }
-  return ds;
-}
-
-session_snapshot parse_snapshot(std::istream& is) {
-  if (next_line(is, "header") != snapshot_tag) throw snapshot_error("bad header");
-  session_snapshot snap;
-  snap.session_key = read_tail(is, "session_key");
-  snap.analytic_entries = read_entries(is, "analytic_entries");
-
-  if (read_flag(is, "surrogate")) {
-    session_snapshot::surrogate_state ss;
-    std::size_t contention = 0;
-    read_row(is, "bench", ss.bench.samples, ss.bench.noise_stddev, ss.bench.seed,
-             ss.bench.model.bandwidth_contention, contention);
-    ss.bench.model.enable_contention = contention != 0;
-    std::size_t log_target = 0;
-    read_row(is, "gbt", ss.gbt.n_trees, ss.gbt.learning_rate, ss.gbt.subsample, ss.gbt.seed,
-             log_target, ss.gbt.tree.max_depth, ss.gbt.tree.min_samples_leaf, ss.gbt.tree.lambda,
-             ss.gbt.tree.min_gain);
-    ss.gbt.log_target = log_target != 0;
-    read_row(is, "fidelity", ss.fidelity.latency_rmse, ss.fidelity.latency_mape,
-             ss.fidelity.latency_r2, ss.fidelity.energy_rmse, ss.fidelity.energy_mape,
-             ss.fidelity.energy_r2);
-    read_row(is, "predictor_epoch", ss.predictor_epoch);
-    ss.latency = read_ensemble(is, "latency");
-    ss.energy = read_ensemble(is, "energy");
-    ss.entries = read_entries(is, "surrogate_entries");
-    snap.surrogate = std::move(ss);
-  }
-
-  if (read_flag(is, "refresh")) {
-    session_snapshot::refresh_state rs;
-    rs.base_train = read_dataset(is, "base_train");
-    rs.log_rows = read_dataset(is, "log");
-    read_row(is, "log_seen", rs.log_seen);
-    snap.refresh = std::move(rs);
-  }
-  return snap;
+/// Runs `f`, retyping any failure -- an embedded block's runtime_error, a
+/// tree's invalid_argument, a file error -- as the one snapshot_error.
+template <class F>
+auto retyped(F&& f) try {
+  return f();
+} catch (const snapshot_error&) {
+  throw;
+} catch (const std::exception& e) {
+  throw snapshot_error(e.what());
 }
 
 }  // namespace
 
+void describe(auto& io, is<session_snapshot::surrogate_state> auto& s) {
+  io.row("bench", s.bench.samples, s.bench.noise_stddev, s.bench.seed,
+         s.bench.model.bandwidth_contention, s.bench.model.enable_contention);
+  io.row("gbt", s.gbt.n_trees, s.gbt.learning_rate, s.gbt.subsample, s.gbt.seed,
+         s.gbt.log_target, s.gbt.tree.max_depth, s.gbt.tree.min_samples_leaf, s.gbt.tree.lambda,
+         s.gbt.tree.min_gain);
+  io.row("fidelity", s.fidelity.latency_rmse, s.fidelity.latency_mape, s.fidelity.latency_r2,
+         s.fidelity.energy_rmse, s.fidelity.energy_mape, s.fidelity.energy_r2);
+  io.row("predictor_epoch", s.predictor_epoch);
+  describe(io, s.latency, "latency");
+  describe(io, s.energy, "energy");
+  io.list("surrogate_entries", s.entries);
+}
+
+void describe(auto& io, is<session_snapshot::refresh_state> auto& s) {
+  describe(io, s.base_train, "base_train");
+  describe(io, s.log_rows, "log");
+  io.row("log_seen", s.log_seen);
+}
+
+void describe(auto& io, is<session_snapshot> auto& snap) {
+  io.row("mapcq-snapshot-v1");
+  io.row("session_key", snap.session_key);
+  io.list("analytic_entries", snap.analytic_entries);
+  io.flagged("surrogate", snap.surrogate);
+  io.flagged("refresh", snap.refresh);
+}
+
 snapshot_error::snapshot_error(const std::string& message)
     : std::runtime_error("snapshot: " + message) {}
 
-std::string to_text(const session_snapshot& snap) {
-  std::ostringstream os;
-  os.precision(17);
-  os << snapshot_tag << '\n';
-  os << "session_key " << snap.session_key << '\n';
-  write_entries(os, "analytic_entries", snap.analytic_entries);
-
-  write_row(os, "surrogate", snap.surrogate ? 1 : 0);
-  if (snap.surrogate) {
-    const session_snapshot::surrogate_state& ss = *snap.surrogate;
-    write_row(os, "bench", ss.bench.samples, ss.bench.noise_stddev, ss.bench.seed,
-              ss.bench.model.bandwidth_contention, ss.bench.model.enable_contention ? 1 : 0);
-    write_row(os, "gbt", ss.gbt.n_trees, ss.gbt.learning_rate, ss.gbt.subsample, ss.gbt.seed,
-              ss.gbt.log_target ? 1 : 0, ss.gbt.tree.max_depth, ss.gbt.tree.min_samples_leaf,
-              ss.gbt.tree.lambda, ss.gbt.tree.min_gain);
-    write_row(os, "fidelity", ss.fidelity.latency_rmse, ss.fidelity.latency_mape,
-              ss.fidelity.latency_r2, ss.fidelity.energy_rmse, ss.fidelity.energy_mape,
-              ss.fidelity.energy_r2);
-    write_row(os, "predictor_epoch", ss.predictor_epoch);
-    write_ensemble(os, "latency", ss.latency);
-    write_ensemble(os, "energy", ss.energy);
-    write_entries(os, "surrogate_entries", ss.entries);
-  }
-
-  write_row(os, "refresh", snap.refresh ? 1 : 0);
-  if (snap.refresh) {
-    const session_snapshot::refresh_state& rs = *snap.refresh;
-    write_dataset(os, "base_train", rs.base_train);
-    write_dataset(os, "log", rs.log_rows);
-    write_row(os, "log_seen", rs.log_seen);
-  }
-  return os.str();
-}
+std::string to_text(const session_snapshot& snap) { return util::lines::write(snap); }
 
 session_snapshot snapshot_from_text(const std::string& text) {
-  std::istringstream is{text};
-  try {
-    return parse_snapshot(is);
-  } catch (const snapshot_error&) {
-    throw;
-  } catch (const std::exception& e) {
-    // Embedded-block parsers (mapcq-eval-v1, the tree restore constructors)
-    // throw runtime_error/invalid_argument; a snapshot consumer sees one
-    // typed failure mode regardless of which section was corrupt.
-    throw snapshot_error(e.what());
-  }
+  return retyped([&] { return util::lines::read<session_snapshot>(text); });
 }
 
 void save_snapshot(const std::string& path, const session_snapshot& snap) {
-  std::ofstream out{path};
-  if (!out) throw snapshot_error("cannot open " + path);
-  out << to_text(snap);
-  if (!out) throw snapshot_error("write failed for " + path);
+  retyped([&] { util::write_file(path, to_text(snap)); });
 }
 
 session_snapshot load_snapshot(const std::string& path) {
-  std::ifstream in{path};
-  if (!in) throw snapshot_error("cannot open " + path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return snapshot_from_text(buf.str());
+  return retyped([&] { return snapshot_from_text(util::read_file(path)); });
 }
 
 std::string snapshot_filename(const std::string& session_key) {

@@ -12,9 +12,10 @@
 // GBT is rebuilt from its fitted trees without retraining, and reservoir
 // probabilities stay correct across the restart.
 //
-// The format follows the PR 6 serialization idiom: line-oriented key/value
-// rows, length-prefixed vectors, embedded self-delimiting mapcq-eval-v1 and
-// mapcq-config-v1 blocks, full 17-digit precision. Every parse failure —
+// The format is written and read by the line codec (util/line_codec.h), like
+// the other mapcq-*-v1 formats: key/value rows, length-prefixed vectors,
+// embedded mapcq-eval-v1 and mapcq-config-v1 blocks, full 17-digit
+// precision. Every parse failure —
 // truncation, corruption, version skew — throws the typed `snapshot_error`,
 // never UB: the spill/restore paths treat a bad snapshot as a cold start,
 // not a crash.
@@ -102,7 +103,8 @@ struct session_snapshot {
 /// section, non-numeric fields, out-of-range tree children.
 [[nodiscard]] session_snapshot snapshot_from_text(const std::string& text);
 
-/// File convenience wrappers; both throw snapshot_error on I/O failure.
+/// File forms of to_text / snapshot_from_text (util::write_file /
+/// util::read_file); both throw snapshot_error on I/O failure.
 void save_snapshot(const std::string& path, const session_snapshot& snap);
 [[nodiscard]] session_snapshot load_snapshot(const std::string& path);
 

@@ -35,6 +35,8 @@ struct tree_params {
   std::size_t min_samples_leaf = 4;
   double lambda = 1.0;     ///< L2 regularization on leaf weights
   double min_gain = 1e-9;  ///< minimum split gain
+
+  bool operator==(const tree_params&) const = default;
 };
 
 /// A training matrix laid out for split search: column-major values plus

@@ -1,5 +1,6 @@
 #include "util/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -41,6 +42,14 @@ bool value::as_bool() const {
 double value::as_number() const {
   if (kind_ != kind::number) kind_mismatch("number", kind_);
   return num_;
+}
+
+std::optional<std::uint64_t> value::as_uint() const {
+  const double d = as_number();
+  if (exact_) return whole_;
+  // Up to 2^53 every whole double is exact, and the cast is defined.
+  if (d < 0.0 || d != std::floor(d) || d > 0x1p53) return std::nullopt;
+  return static_cast<std::uint64_t>(d);
 }
 
 const std::string& value::as_string() const {
@@ -95,7 +104,8 @@ bool value::operator==(const value& other) const noexcept {
   switch (kind_) {
     case kind::null: return true;
     case kind::boolean: return bool_ == other.bool_;
-    case kind::number: return num_ == other.num_;
+    case kind::number:
+      return exact_ && other.exact_ ? whole_ == other.whole_ : num_ == other.num_;
     case kind::string: return str_ == other.str_;
     case kind::array: return arr_ == other.arr_;
     case kind::object: return obj_ == other.obj_;
@@ -336,6 +346,9 @@ class parser {
       while (!done() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
     }
     const std::string token{text_.substr(start, pos_ - start)};
+    std::uint64_t whole = 0;
+    const auto [end, ec] = std::from_chars(token.data(), token.data() + token.size(), whole);
+    if (ec == std::errc{} && end == token.data() + token.size()) return value{whole};
     const double v = std::strtod(token.c_str(), nullptr);
     if (!std::isfinite(v)) fail("number out of double range");
     return value{v};
@@ -369,9 +382,15 @@ void dump_string(std::string& out, const std::string& s) {
   out += '"';
 }
 
-void dump_number(std::string& out, double v) {
+void dump_number(std::string& out, const value& number) {
+  const double v = number.as_number();
   if (!std::isfinite(v))
     throw std::runtime_error("json: cannot dump a non-finite number (no JSON literal)");
+  // Exact to 64 bits for unsigned values; -0 keeps its sign below.
+  if (const std::optional<std::uint64_t> whole = number.as_uint(); whole && !std::signbit(v)) {
+    out += std::to_string(*whole);
+    return;
+  }
   char buf[32];
   constexpr double exact = 9007199254740992.0;  // 2^53
   if (v == std::floor(v) && v >= -exact && v <= exact) {
@@ -396,7 +415,7 @@ void dump_value(std::string& out, const value& v, int indent, int depth) {
   switch (v.type()) {
     case value::kind::null: out += "null"; return;
     case value::kind::boolean: out += v.as_bool() ? "true" : "false"; return;
-    case value::kind::number: dump_number(out, v.as_number()); return;
+    case value::kind::number: dump_number(out, v); return;
     case value::kind::string: dump_string(out, v.as_string()); return;
     case value::kind::array: {
       const array& a = v.as_array();

@@ -13,6 +13,8 @@
 // non-finite numbers (JSON has no literal for them; `dump` throws).
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -53,11 +55,13 @@ class value {
   value(bool b) noexcept : kind_(kind::boolean), bool_(b) {}  // NOLINT
   value(double v) : kind_(kind::number), num_(v) {}           // NOLINT
   value(int v) : kind_(kind::number), num_(v) {}              // NOLINT
-  value(unsigned v) : kind_(kind::number), num_(v) {}         // NOLINT
+  value(unsigned v) : value(static_cast<unsigned long long>(v)) {}  // NOLINT
   value(long v) : kind_(kind::number), num_(static_cast<double>(v)) {}                 // NOLINT
-  value(unsigned long v) : kind_(kind::number), num_(static_cast<double>(v)) {}        // NOLINT
+  value(unsigned long v) : value(static_cast<unsigned long long>(v)) {}                // NOLINT
   value(long long v) : kind_(kind::number), num_(static_cast<double>(v)) {}            // NOLINT
-  value(unsigned long long v) : kind_(kind::number), num_(static_cast<double>(v)) {}   // NOLINT
+  /// Unsigned values are kept exactly, all 64 bits (seeds above 2^53).
+  value(unsigned long long v)  // NOLINT
+      : kind_(kind::number), num_(static_cast<double>(v)), whole_(v), exact_(true) {}
   value(const char* s) : kind_(kind::string), str_(s) {}       // NOLINT
   value(std::string s) : kind_(kind::string), str_(std::move(s)) {}  // NOLINT
   value(array a) : kind_(kind::array), arr_(std::move(a)) {}         // NOLINT
@@ -74,6 +78,10 @@ class value {
   /// Checked accessors; throw std::runtime_error naming the expected kind.
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;
+  /// The number as a non-negative integer: an unsigned value or a
+  /// whole-number token exactly (all 64 bits), or a whole double up to 2^53;
+  /// nullopt for any other number. Throws on a kind mismatch.
+  [[nodiscard]] std::optional<std::uint64_t> as_uint() const;
   [[nodiscard]] const std::string& as_string() const;
   [[nodiscard]] const array& as_array() const;
   [[nodiscard]] const object& as_object() const;
@@ -95,20 +103,24 @@ class value {
   kind kind_;
   bool bool_ = false;
   double num_ = 0.0;
+  std::uint64_t whole_ = 0;  ///< the exact value when exact_
+  bool exact_ = false;
   std::string str_;
   array arr_;
   object obj_;
 };
 
 /// Parses one JSON document (trailing whitespace allowed, trailing content
-/// rejected). Throws parse_error with line/column on malformed input,
+/// rejected). A number token of plain digits that fits in 64 bits is kept
+/// exactly. Throws parse_error with line/column on malformed input,
 /// duplicate object keys, or nesting beyond 256 levels.
 [[nodiscard]] value parse(std::string_view text);
 
 /// Serializes. `indent` = 0 emits the compact one-line form; > 0
-/// pretty-prints with that many spaces per level. Integral numbers inside
-/// +/-2^53 print without a decimal point; other finite numbers round-trip
-/// at %.17g. Throws std::runtime_error on non-finite numbers.
+/// pretty-prints with that many spaces per level. Exact unsigned values and
+/// integral numbers inside +/-2^53 print without a decimal point; other
+/// finite numbers round-trip at %.17g. Throws std::runtime_error on
+/// non-finite numbers.
 [[nodiscard]] std::string dump(const value& v, int indent = 0);
 
 }  // namespace mapcq::util::json

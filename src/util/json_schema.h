@@ -14,7 +14,8 @@
 //
 // A field's kind follows from its member's type:
 //   bool, double, std::string       a JSON boolean, number, string
-//   an unsigned integer             a whole JSON number in [0, 2^53]
+//   an unsigned integer             a whole JSON number: a digits-only token
+//                                   exact to 64 bits, or a double up to 2^53
 //   std::chrono::milliseconds       the same, counting milliseconds
 //   an enum                         a string from the field's name table
 //   a struct with a describe()      a nested object
@@ -35,8 +36,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -155,14 +156,15 @@ class binding {
       if (!v.is_string()) S::fail(path, "expected a string");
       out = v.as_string();
     } else if constexpr (std::is_unsigned_v<T>) {
-      // Up to 2^53 every whole double is exact, and the cast is defined.
-      const double d = v.is_number() ? v.as_number() : -1.0;
-      if (d < 0.0 || d != std::floor(d) || d > 0x1p53)
+      const std::optional<std::uint64_t> n = v.is_number() ? v.as_uint() : std::nullopt;
+      if (!n || *n > std::numeric_limits<T>::max())
         S::fail(path, "expected a non-negative integer");
-      out = static_cast<T>(d);
+      out = static_cast<T>(*n);
     } else if constexpr (std::is_same_v<T, std::chrono::milliseconds>) {
       std::uint64_t ms = 0;
       get(v, ms, path);
+      if (ms > static_cast<std::uint64_t>(std::chrono::milliseconds::max().count()))
+        S::fail(path, "expected a non-negative integer");
       out = std::chrono::milliseconds(ms);
     } else if constexpr (std::is_enum_v<T>) {
       if (!v.is_string()) S::fail(path, "expected a string");

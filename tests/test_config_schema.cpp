@@ -444,6 +444,33 @@ TEST(config_schema_golden, out_of_range_integers_in_arrays_and_maps_are_rejected
   EXPECT_EQ(cfg.scenario.dvfs_cap.at(0), 9007199254740992ULL);
 }
 
+// Whole-number tokens are read and written exactly to 64 bits, so a seed
+// above 2^53 survives dump_config -> parse_config and an override.
+TEST(config_schema_golden, seeds_above_2_53_round_trip_exactly) {
+  for (const std::uint64_t seed : {0xdeadbeefcafebabeULL, (1ULL << 53) + 1}) {
+    service_config cfg;
+    cfg.ga.seed = seed;
+    cfg.service.refresh.seed = seed;
+    for (const int indent : {0, 2}) {
+      const service_config back = serving::parse_config(serving::dump_config(cfg, indent));
+      EXPECT_EQ(back.ga.seed, seed);
+      EXPECT_EQ(back.service.refresh.seed, seed);
+      EXPECT_EQ(serving::dump_config(back, indent), serving::dump_config(cfg, indent));
+    }
+    service_config overridden;
+    serving::apply_override(overridden, "ga.seed=" + std::to_string(seed));
+    serving::apply_override(overridden, "refresh.seed=" + std::to_string(seed));
+    EXPECT_EQ(overridden.ga.seed, seed);
+    EXPECT_EQ(overridden.service.refresh.seed, seed);
+  }
+  service_config cfg;
+  cfg.ga.seed = 0xdeadbeefcafebabeULL;
+  EXPECT_NE(serving::dump_config(cfg, 0).find(R"("seed":16045690984503098046)"), std::string::npos);
+  // Past 2^64 a token is a double again, and too large to be exact.
+  expect_parse_error({R"({"ga": {"seed": 18446744073709551616}})",
+                      "config error at ga.seed: expected a non-negative integer"});
+}
+
 // --- the serialized form --------------------------------------------------------
 
 service_config populated_config() {

@@ -12,6 +12,7 @@
 #include "nn/models.h"
 #include "nn/partition_groups.h"
 #include "soc/platform.h"
+#include "util/line_codec.h"
 
 namespace {
 
@@ -119,8 +120,8 @@ TEST(serialization, file_roundtrip) {
   const auto plat = soc::agx_xavier();
   const auto c = core::make_static_configuration(net, plat);
   const std::string path = "/tmp/mapcq_cfg_test.txt";
-  core::save_configuration(path, c);
-  const auto back = core::load_configuration(path);
+  util::write_file(path, core::to_text(c));
+  const auto back = core::configuration_from_text(util::read_file(path));
   EXPECT_EQ(back.partition, c.partition);
   std::remove(path.c_str());
 }
@@ -130,7 +131,7 @@ TEST(serialization, rejects_malformed_input) {
   EXPECT_THROW((void)core::configuration_from_text("wrong-header\n"), std::runtime_error);
   EXPECT_THROW((void)core::configuration_from_text("mapcq-config-v1\ngroups 1\n"),
                std::runtime_error);
-  EXPECT_THROW((void)core::load_configuration("/nonexistent/path.txt"), std::runtime_error);
+  EXPECT_THROW((void)util::read_file("/nonexistent/path.txt"), std::runtime_error);
   // Bad forward bit.
   const std::string bad =
       "mapcq-config-v1\ngroups 1\nstages 2\npartition\n0.5 0.5\nforward\n2 0\nmapping 0 1\ndvfs 0 "

@@ -120,6 +120,10 @@ TEST_F(service_fixture, surrogate_trains_once_per_session) {
   mapping_request clashing = req;
   clashing.gbt.n_trees = 31;
   EXPECT_THROW((void)service.map(clashing), std::invalid_argument);
+  // Every knob counts, down to the innermost tree parameter.
+  mapping_request finer = req;
+  finer.gbt.tree.min_gain *= 2.0;
+  EXPECT_THROW((void)service.map(finer), std::invalid_argument);
 }
 
 TEST_F(service_fixture, submit_serves_async_and_propagates_errors) {

@@ -252,6 +252,25 @@ TEST_F(fuzz_fixture, session_snapshot_text_never_fails_untyped) {
   fuzz(target);
 }
 
+// A count is checked against the lines left before anything is sized by
+// it, so a corrupt count fails typed instead of as a length_error or
+// bad_alloc from the allocation.
+TEST(text_counts, huge_counts_fail_typed) {
+  const std::string huge = "99999999999999999";
+  EXPECT_THROW((void)core::trace_from_text("mapcq-trace-v1\nrecords " + huge + "\n"),
+               std::runtime_error);
+  EXPECT_THROW((void)core::report_summary_from_text(
+                   "mapcq-report-v1\nnetwork n\nplatform p\nours_latency 0\nours_energy 0\n"
+                   "entries " + huge + "\n"),
+               std::runtime_error);
+  EXPECT_THROW((void)core::configuration_from_text("mapcq-config-v1\ngroups " + huge +
+                                                   "\nstages 2\n"),
+               std::runtime_error);
+  EXPECT_THROW((void)serving::snapshot_from_text("mapcq-snapshot-v1\nsession_key k\n"
+                                                 "analytic_entries " + huge + "\n"),
+               serving::snapshot_error);
+}
+
 TEST_F(fuzz_fixture, json_parse_never_fails_untyped) {
   fuzz_target target;
   target.name = "util-json";
